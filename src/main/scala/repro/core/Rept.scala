@@ -1,12 +1,10 @@
 package repro.core
 
-import scala.collection.mutable
-
-/** Sequential (single-JVM) REPT orchestrator: runs every group of the
-  * Layout(m,c) over the stream and combines counters into the paper's global
-  * and local estimates. The Spark runner (`ReptSpark`) parallelises the same
-  * group computations as tasks and must produce identical results for the
-  * same seed (asserted in tests).
+/** Sequential (single-JVM) REPT orchestrator: runs the c processors of
+  * Layout(m,c) over the stream one after another and combines their counters
+  * into the paper's global and local estimates. The Spark runner
+  * (`ReptSpark`) runs the same processors as tasks and must produce identical
+  * results for the same seed (asserted in tests).
   */
 object Rept {
 
@@ -26,58 +24,27 @@ object Rept {
   def groupSeed(baseSeed: Long, group: Int): Long =
     EdgeStream.mix64(baseSeed ^ (0x5851f42d4c957f2dL * (group + 1)))
 
-  /** Run REPT(p = 1/m, c) over a packed-key stream. */
+  /** Processor p of a run seeded `seed`: slot p mod m of group p / m. Its
+    * counters do not depend on c, so processor p is the same in every
+    * Layout(m, c) with c > p (full groups first, then the leftover group).
+    */
+  def processor(m: Int, p: Int, seed: Long, trackEta: Boolean): ReptProcessor =
+    new ReptProcessor(m, p % m, groupSeed(seed, p / m), trackEta)
+
+  /** Run REPT(p = 1/m, c) over a packed-key stream, one processor at a time. */
   def run(stream: Array[Long], m: Int, c: Int, seed: Long, locals: Boolean = true): Result = {
     val lay = ReptEstimator.Layout(m, c)
-    val sims = (0 until lay.numGroups).map { g =>
-      new ReptGroupSim(m, lay.slotsOf(g), groupSeed(seed, g), lay.needsEta, locals)
-        .processStream(stream)
+    val perProcTau = new Array[Long](c)
+    val perProcEta = new Array[Long](c)
+    val rows = Vector.newBuilder[ReptEstimator.LocalCounters]
+    for (p <- 0 until c) {
+      val proc = processor(m, p, seed, lay.needsEta).processStream(stream)
+      perProcTau(p) = proc.tau
+      perProcEta(p) = proc.eta
+      if (locals) rows ++= proc.localCounters(p)
     }
-    combine(lay, sims, locals)
-  }
-
-  /** Combine finished group simulators into estimates (shared with ReptSpark's
-    * driver-side global path).
-    */
-  def combine(lay: ReptEstimator.Layout, sims: Seq[ReptGroupSim], locals: Boolean): Result = {
-    import lay._
-    val perProcTau = sims.flatMap(_.tauSlots).toArray
-    val perProcEta =
-      if (needsEta) sims.flatMap(_.etaSlots).toArray else new Array[Long](perProcTau.length)
-    val tauHat = ReptEstimator.estimateGlobal(m, c, perProcTau.toIndexedSeq,
-      if (needsEta) perProcEta.toIndexedSeq else Nil)
-
-    val tauVHat: Map[Int, Double] =
-      if (!locals) Map.empty
-      else if (cLeM) {
-        val acc = mutable.LongMap.empty[Long].withDefaultValue(0L)
-        for ((node, tArr, _) <- sims.head.localRows) acc(node.toLong) += tArr.sum
-        acc.iterator
-          .map { case (n, s) => (n.toInt, ReptEstimator.estimateCleM(m, c, s)) }
-          .toMap
-      } else {
-        // Per-node sums over: full-group slots (s1), leftover slots (s2), η (all).
-        val s1 = mutable.LongMap.empty[Long].withDefaultValue(0L)
-        val s2 = mutable.LongMap.empty[Long].withDefaultValue(0L)
-        val se = mutable.LongMap.empty[Long].withDefaultValue(0L)
-        for ((sim, g) <- sims.zipWithIndex; (node, tArr, eArr) <- sim.localRows) {
-          val k = node.toLong
-          if (isFull(g)) s1(k) += tArr.sum else s2(k) += tArr.sum
-          if (needsEta) se(k) += eArr.sum
-        }
-        val nodes = (s1.keysIterator ++ s2.keysIterator).toSet
-        nodes.iterator.map { k =>
-          val est =
-            if (c2 == 0) ReptEstimator.estimateFullGroups(m, c1, s1(k))
-            else {
-              val t1 = ReptEstimator.estimateFullGroups(m, c1, s1(k))
-              val t2 = ReptEstimator.estimateCleM(m, c2, s2(k))
-              val eh = ReptEstimator.estimateEta(m, c, se(k))
-              ReptEstimator.combineCgtM(m, c1, c2, t1, t2, eh)
-            }
-          (k.toInt, est)
-        }.toMap
-      }
+    val tauHat = ReptEstimator.estimateGlobal(m, c, perProcTau.toIndexedSeq, perProcEta.toIndexedSeq)
+    val tauVHat = if (locals) ReptEstimator.estimateLocals(lay, rows.result()) else Map.empty[Int, Double]
     Result(m, c, tauHat, tauVHat, perProcTau, perProcEta)
   }
 }

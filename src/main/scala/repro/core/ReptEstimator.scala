@@ -1,11 +1,18 @@
 package repro.core
 
-/** Estimator algebra of REPT (Section III of the paper) as pure functions,
-  * shared by the sequential orchestrator, the Spark runner and the tests.
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
+
+import scala.collection.mutable
+
+/** Estimator algebra of REPT (Section III of the paper): one scalar
+  * `estimate` for global and per-node estimates, applied to per-processor
+  * counters (`estimateGlobal`) or to per-node counter rows, in memory or as
+  * a Catalyst aggregation (`estimateLocals`). Shared by every runner.
   *
   * Conventions: processors are 0-indexed; for c > m they are grouped as
   * c = c₁·m + c₂ with groups 0..c₁−1 full (m processors) and, when c₂ ≠ 0, a
-  * leftover group of c₂ processors.
+  * leftover group of c₂ processors. Processor p sits in group p / m.
   */
 object ReptEstimator {
 
@@ -51,6 +58,19 @@ object ReptEstimator {
     else (w2 * t1 + w1 * t2) / (w1 + w2)
   }
 
+  /** The REPT estimate of τ (or of one τ_v) for any (m, c) from three
+    * counter sums: τ over the full groups' processors, τ over the leftover
+    * group's (all c processors when c ≤ m), and η over all processors (read
+    * only when `lay.needsEta`).
+    */
+  def estimate(lay: Layout, fullTauSum: Long, lastTauSum: Long, etaSum: Long): Double = {
+    import lay._
+    if (cLeM) estimateCleM(m, c, lastTauSum)
+    else if (c2 == 0) estimateFullGroups(m, c1, fullTauSum)
+    else combineCgtM(m, c1, c2, estimateFullGroups(m, c1, fullTauSum),
+      estimateCleM(m, c2, lastTauSum), estimateEta(m, c, etaSum))
+  }
+
   /** Global estimate for any (m, c) given the per-processor counters.
     * `tauPerProc` has length c in processor order; `etaPerProc` is required
     * only when Layout(m,c).needsEta.
@@ -58,17 +78,46 @@ object ReptEstimator {
   def estimateGlobal(m: Int, c: Int, tauPerProc: Seq[Long], etaPerProc: Seq[Long] = Nil): Double = {
     require(tauPerProc.length == c, s"expected $c tau counters, got ${tauPerProc.length}")
     val lay = Layout(m, c)
-    if (lay.cLeM) estimateCleM(m, c, tauPerProc.sum)
-    else if (lay.c2 == 0) estimateFullGroups(m, lay.c1, tauPerProc.sum)
-    else {
+    if (lay.needsEta)
       require(etaPerProc.length == c, s"expected $c eta counters, got ${etaPerProc.length}")
-      val full = tauPerProc.take(lay.c1 * m)
-      val last = tauPerProc.drop(lay.c1 * m)
-      val t1 = estimateFullGroups(m, lay.c1, full.sum)
-      val t2 = estimateCleM(m, lay.c2, last.sum)
-      val etaHat = estimateEta(m, c, etaPerProc.sum)
-      combineCgtM(m, lay.c1, lay.c2, t1, t2, etaHat)
+    val nFull = lay.c1 * m
+    estimate(lay, tauPerProc.take(nFull).sum, tauPerProc.drop(nFull).sum,
+      if (lay.needsEta) etaPerProc.sum else 0L)
+  }
+
+  /** Processor `proc`'s local counters τ_v⁽ⁱ⁾, η_v⁽ⁱ⁾ for node `node`: the
+    * row schema of both forms of `estimateLocals`.
+    */
+  final case class LocalCounters(proc: Int, node: Int, tau: Long, eta: Long)
+
+  /** Per-node estimates from the local counter rows of the c processors of
+    * `lay`. Nodes without a row estimate 0 and are absent.
+    */
+  def estimateLocals(lay: Layout, rows: IterableOnce[LocalCounters]): Map[Int, Double] = {
+    val nFull = lay.c1 * lay.m
+    // Per node: τ sum over full groups, τ sum over the leftover group, η sum.
+    val sums = mutable.LongMap.empty[Array[Long]]
+    rows.iterator.foreach { r =>
+      val s = sums.getOrElseUpdate(r.node.toLong, new Array[Long](3))
+      s(if (r.proc < nFull) 0 else 1) += r.tau
+      s(2) += r.eta
     }
+    sums.iterator.map { case (v, s) => (v.toInt, estimate(lay, s(0), s(1), s(2))) }.toMap
+  }
+
+  /** The Catalyst form of `estimateLocals`: `rows` has columns proc, node,
+    * tau and eta (longs) plus the caller's `keys`; the result has columns
+    * `keys`, node and estimate, one row per (keys, node) group.
+    */
+  def estimateLocals(lay: Layout, rows: DataFrame, keys: Seq[String]): DataFrame = {
+    val full = col("proc") < lay.c1 * lay.m
+    val est = udf((fullTau: Long, lastTau: Long, eta: Long) => estimate(lay, fullTau, lastTau, eta))
+    val by = (keys :+ "node").map(col)
+    rows.groupBy(by: _*)
+      .agg(sum(when(full, col("tau")).otherwise(0L)) as "fullTau",
+           sum(when(full, 0L).otherwise(col("tau"))) as "lastTau",
+           sum("eta") as "eta")
+      .select(by :+ (est(col("fullTau"), col("lastTau"), col("eta")) as "estimate"): _*)
   }
 
   /** Theoretical Var(τ̂) for c ≤ m (Theorem 3). Also valid per-node with

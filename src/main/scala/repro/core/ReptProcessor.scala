@@ -51,6 +51,15 @@ final class ReptProcessor(
   def etaV: collection.Map[Int, Long] =
     etaVCnt.iterator.map { case (k, n) => (k.toInt, n) }.toMap
 
+  /** τ_v⁽ⁱ⁾ and η_v⁽ⁱ⁾ as estimator rows tagged with processor index `proc`,
+    * one per node with τ_v⁽ⁱ⁾ > 0 (every pair counted at v also closed a
+    * semi-triangle at v, so η_v⁽ⁱ⁾ > 0 only at those nodes).
+    */
+  def localCounters(proc: Int): Iterator[ReptEstimator.LocalCounters] =
+    tauVCnt.iterator.map { case (v, t) =>
+      ReptEstimator.LocalCounters(proc, v.toInt, t, etaVCnt.getOrElse(v, 0L))
+    }
+
   /** Per-stored-edge triangle multiplicities τ_(u,v)⁽ⁱ⁾ keyed by packed edge. */
   def tauEdgeCounters: collection.Map[Long, Long] = tauEdge.toMap
 

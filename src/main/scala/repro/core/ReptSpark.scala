@@ -2,9 +2,10 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.harness.TrialHarness
 
-/** Spark runner for one REPT(1/m, c) pass: each group of the Layout is a task
-  * (mapPartitions over a one-task-per-group Dataset, the edge stream
+/** Spark runner for one REPT(1/m, c) pass: each of the c processors is a
+  * task of `TrialHarness.fanOut` (one task per partition, the edge stream
   * broadcast once), and the per-processor counters come back as rows —
   * globals are combined on the driver with `ReptEstimator`, local estimates
   * entirely as a DataFrame aggregation (the "per-partition sampled edge
@@ -14,14 +15,6 @@ import org.apache.spark.sql.functions._
   */
 object ReptSpark {
 
-  /** One group to simulate. */
-  final case class GroupTask(group: Int, slots: Int, seed: Long, trackEta: Boolean, locals: Boolean)
-
-  /** Counter row: node = −1 carries a slot's global (τ⁽ⁱ⁾, η⁽ⁱ⁾); node ≥ 0
-    * carries that node's (τ_v⁽ⁱ⁾, η_v⁽ⁱ⁾) on slot `slot` of `group`.
-    */
-  final case class CounterRow(group: Int, slot: Int, node: Int, tau: Long, eta: Long)
-
   /** Run result: the global estimate plus (optionally) the per-node estimate
     * DataFrame (node, estimate); absent nodes estimate 0.
     */
@@ -30,72 +23,22 @@ object ReptSpark {
 
   def run(spark: SparkSession, stream: Array[Long], m: Int, c: Int, seed: Long,
           locals: Boolean = true): SparkResult = {
-    import spark.implicits._
     val lay = ReptEstimator.Layout(m, c)
-    val bc = spark.sparkContext.broadcast(stream)
-    val tasks = (0 until lay.numGroups)
-      .map(g => GroupTask(g, lay.slotsOf(g), Rept.groupSeed(seed, g), lay.needsEta, locals))
-    val rows = spark.createDataset(tasks)
-      .repartition(lay.numGroups)
-      .mapPartitions { it =>
-        it.flatMap { task =>
-          val sim = new ReptGroupSim(m, task.slots, task.seed, task.trackEta, task.locals)
-          sim.processStream(bc.value)
-          val globals = (0 until task.slots).iterator
-            .map(s => CounterRow(task.group, s, -1, sim.tau(s), sim.eta(s)))
-          val localRows = sim.localRows.flatMap { case (node, tArr, eArr) =>
-            tArr.indices.iterator
-              .filter(s => tArr(s) != 0L || eArr(s) != 0L)
-              .map(s => CounterRow(task.group, s, node, tArr(s), eArr(s)))
-          }
-          globals ++ localRows
-        }
-      }
-      .toDF()
-      .cache()
+    val tasks = (0 until c).map(p => TrialHarness.Task(TrialHarness.ReptName, 0, p, seed))
+    val rows = TrialHarness.fanOut(spark, stream, tasks, m, lay.needsEta, locals)
+    // One run's counter rows are few: read as one partition, an aggregation
+    // over them shuffles from one map task instead of c.
+    val counters = rows.coalesce(1)
 
-    val globalRows = rows.where(col("node") === -1)
-      .orderBy("group", "slot")
-      .collect()
-    val perProcTau = globalRows.map(_.getAs[Long]("tau"))
-    val perProcEta = globalRows.map(_.getAs[Long]("eta"))
-    val tauHat = ReptEstimator.estimateGlobal(m, c, perProcTau.toIndexedSeq,
-      if (lay.needsEta) perProcEta.toIndexedSeq else Nil)
+    val globalRows = counters.where(col("node") === -1).select("proc", "tau", "eta").collect()
+      .sortBy(_.getInt(0))
+    val perProcTau = globalRows.map(_.getLong(1))
+    val perProcEta = globalRows.map(_.getLong(2))
+    val tauHat = ReptEstimator.estimateGlobal(m, c, perProcTau.toIndexedSeq, perProcEta.toIndexedSeq)
 
     val localsDf =
-      if (!locals) None
-      else Some(localEstimates(rows.where(col("node") =!= -1), lay))
+      if (!locals) { rows.unpersist(); None }
+      else Some(ReptEstimator.estimateLocals(lay, counters.where(col("node") =!= -1), Nil))
     SparkResult(tauHat, localsDf, perProcTau, perProcEta)
-  }
-
-  /** Per-node estimate DataFrame from counter rows — pure Catalyst. */
-  def localEstimates(localRows: DataFrame, lay: ReptEstimator.Layout): DataFrame = {
-    import lay._
-    if (cLeM) {
-      localRows.groupBy("node")
-        .agg(sum("tau") as "s")
-        .select(col("node"), (lit(m.toDouble * m / c) * col("s")) as "estimate")
-    } else if (c2 == 0) {
-      localRows.groupBy("node")
-        .agg(sum("tau") as "s")
-        .select(col("node"), (lit(m.toDouble / c1) * col("s")) as "estimate")
-    } else {
-      val agg = localRows.groupBy("node").agg(
-        sum(when(col("group") < c1, col("tau")).otherwise(0L)) as "s1",
-        sum(when(col("group") === c1, col("tau")).otherwise(0L)) as "s2",
-        sum(col("eta")) as "se",
-      )
-      val t1 = lit(m.toDouble / c1) * col("s1")
-      val t2 = lit(m.toDouble * m / c2) * col("s2")
-      val eh = lit(math.pow(m.toDouble, 3) / c) * col("se")
-      val withT = agg.select(col("node"), t1 as "t1", t2 as "t2", eh as "eh")
-      val w1 = col("t1") * (m - 1) / c1
-      val w2 = (col("t1") * (m.toDouble * m - c2) + lit(2.0) * col("eh") * (m - c2)) / c2
-      withT.select(
-        col("node"),
-        when(w1 + w2 <= 0, (col("t1") + col("t2")) / 2.0)
-          .otherwise((w2 * col("t1") + w1 * col("t2")) / (w1 + w2)) as "estimate",
-      )
-    }
   }
 }

@@ -87,8 +87,8 @@ object Tables {
 
   /** Per-processor single-pass runtimes (Figure 7 as a table). The paper's
     * parallel wall-clock at fixed c is each method's per-processor pass time
-    * (all c processors run concurrently), so that is what we time — on the
-    * true streaming engines, not the group simulator.
+    * (all c processors run concurrently), so that is what we time: one pass
+    * of each method's streaming engine.
     */
   def runtime(spark: SparkSession, graph: String, ms: Seq[Int], reps: Int,
               seed: Long): Seq[RuntimePoint] = {
@@ -124,7 +124,6 @@ object Tables {
     */
   def singleThread(spark: SparkSession, graph: String, m: Int, cs: Seq[Int], trials: Int,
                    seed: Long, timeReps: Int = 3): Seq[SingleThreadPoint] = {
-    import spark.implicits._
     val stream = BenchGraphs.stream(spark, graph)
     val info = BenchGraphs.info(spark, graph)
     val nE = stream.length
@@ -137,8 +136,7 @@ object Tables {
     val singleNames = Seq("MASCOT-S", "TRIEST-S", "GPS-S")
     val singleTasks = for (c <- cs; method <- singleNames; trial <- 0 until trials)
       yield (c, method, trial)
-    val singleEst = spark.createDataset(singleTasks)
-      .repartition(math.min(singleTasks.size, 256))
+    val singleEst = spark.sparkContext.parallelize(singleTasks, singleTasks.size)
       .map { case (c, method, trial) =>
         val s = repro.core.EdgeStream.mix64(seed ^ (method.hashCode.toLong << 32) ^
           (c.toLong << 16) ^ trial.toLong)

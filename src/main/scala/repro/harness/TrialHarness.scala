@@ -1,27 +1,27 @@
 package repro.harness
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.baselines.{GpsInStreamProcessor, MascotProcessor, ParallelBaseline, TriestImprProcessor}
-import repro.core.{EdgeStream, Rept, ReptEstimator, ReptGroupSim}
+import repro.core.{EdgeStream, Rept, ReptEstimator}
 
-/** Repeated-trial experiment runner behind every accuracy table.
+/** Repeated-trial experiment runner behind every accuracy table, and the one
+  * Spark fan-out that runs streaming engines (`ReptSpark.run` goes through it
+  * too).
   *
   * One invocation sweeps a whole list of processor counts `cs` at fixed
-  * m = 1/p. The key reuse property: REPT's per-slot counters do not depend on
-  * how many slots are "active", so a single `ReptGroupSim` pass at full width
-  * m yields every c ≤ m configuration as a slot prefix, and the group sims
-  * 0..⌈maxC/m⌉−1 cover every c in the sweep (the c-th configuration reads
-  * groups/slots exactly as `ReptEstimator.Layout(m, c)` prescribes, with the
-  * same per-group seeds `Rept.groupSeed` the dedicated runner would use).
-  * Likewise a baseline's processor i is independent of c, so the c-processor
-  * parallel estimate is the mean over processor prefix 0..c−1.
+  * m = 1/p. The key reuse property: processor i's counters do not depend on
+  * c (REPT's processor i is `Rept.processor(m, i, seed, _)` in every layout;
+  * a baseline's processor i has its own seed), so maxC processors per
+  * (method, trial) serve every c in the sweep: the c-processor estimate reads
+  * processor prefix 0..c−1, through `ReptEstimator` for REPT and as the mean
+  * of the per-processor estimates for a baseline.
   *
-  * Work units (REPT group sims, baseline engine passes) across all methods
-  * and trials form one Spark Dataset of task descriptors fanned out with
-  * mapPartitions over the broadcast edge stream; counter rows come back as a
-  * cached DataFrame from which global estimates (driver) and per-node
-  * estimate DataFrames (Catalyst aggregations) are assembled per (method, c).
+  * Tasks (one engine pass each) across all methods and trials run one per
+  * Spark partition with mapPartitions over the broadcast edge stream;
+  * counter rows come back as a cached DataFrame from which global estimates
+  * (driver) and per-node estimate DataFrames (Catalyst aggregations) are
+  * assembled per (method, c).
   *
   * Budgets follow Section IV-B: MASCOT samples with p = 1/m; Trièst gets
   * budget |E|/m; GPS gets |E|/(2m) (weights cost the other half of its
@@ -34,17 +34,18 @@ object TrialHarness {
   val TriestName = "TRIEST"
   val GpsName    = "GPS"
 
-  /** One work unit: a REPT group sim (unit = group index) or a baseline
-    * engine pass (unit = processor index).
+  /** One engine pass: processor `proc` of (method, trial), whose runs are
+    * seeded `seed`.
     */
-  final case class Task(method: String, trial: Int, unit: Int, slots: Int, seed: Long)
+  final case class Task(method: String, trial: Int, proc: Int, seed: Long)
 
-  /** Counter row. REPT: per (group, slot), node = −1 for the slot's globals
-    * (x = τ⁽ⁱ⁾, eta = η⁽ⁱ⁾), node ≥ 0 for that node's counters on the slot.
-    * Baselines: slot = 0; x is the processor's (already scaled) estimate.
+  /** Counter row of processor `proc`: node = −1 for its globals, node ≥ 0
+    * for that node's local counters. REPT: tau, eta are τ⁽ⁱ⁾, η⁽ⁱ⁾ (or
+    * τ_v⁽ⁱ⁾, η_v⁽ⁱ⁾), x = 0. Baselines: x is the processor's (already scaled)
+    * estimate, tau = eta = 0.
     */
-  final case class CounterRow(method: String, trial: Int, unit: Int, slot: Int,
-                              node: Int, x: Double, eta: Double)
+  final case class CounterRow(method: String, trial: Int, proc: Int, node: Int,
+                              tau: Long, eta: Long, x: Double)
 
   final case class Config(
       m: Int,
@@ -56,25 +57,28 @@ object TrialHarness {
   ) {
     require(cs.nonEmpty && cs.forall(_ >= 1), s"bad cs: $cs")
     val maxC: Int = cs.max
-    /** Number of REPT group sims needed to cover every c in the sweep. */
-    val reptGroups: Int = math.max(1, (maxC + m - 1) / m)
     /** η tracking needed if any c > m has a leftover group. */
     val needsEta: Boolean = cs.exists(c => ReptEstimator.Layout(m, c).needsEta)
   }
 
   final case class Result(cfg: Config, raw: DataFrame) {
-    import Result._
+
+    /** `raw` read as one partition: the rows are few next to the engine work
+      * that made them, and an aggregation over them then shuffles from one
+      * map task instead of one per engine task.
+      */
+    private lazy val counters = raw.coalesce(1)
 
     /** Per-trial global estimates for (method, c). */
     lazy val globals: Map[(String, Int), Seq[Double]] = {
-      val rows = raw.where(col("node") === -1).collect().map { r =>
-        Key(r.getAs[String]("method"), r.getAs[Int]("trial"), r.getAs[Int]("unit"),
-            r.getAs[Int]("slot")) -> (r.getAs[Double]("x"), r.getAs[Double]("eta"))
-      }.toMap
+      val rows = counters.where(col("node") === -1).as[CounterRow](Encoders.product[CounterRow])
+        .collect().map(r => (r.method, r.trial, r.proc) -> r).toMap
       (for (method <- cfg.methods; c <- cfg.cs) yield {
         val perTrial = (0 until cfg.trials).map { trial =>
-          if (method == ReptName) reptGlobal(cfg.m, c, k => rows(Key(method, trial, k._1, k._2)))
-          else (0 until c).map(i => rows(Key(method, trial, i, 0))._1).sum / c
+          val procs = (0 until c).map(i => rows((method, trial, i)))
+          if (method == ReptName)
+            ReptEstimator.estimateGlobal(cfg.m, c, procs.map(_.tau), procs.map(_.eta))
+          else procs.map(_.x).sum / c
         }
         (method, c) -> perTrial
       }).toMap
@@ -85,71 +89,11 @@ object TrialHarness {
       */
     def localEstimates(method: String, c: Int): Option[DataFrame] = {
       if (!cfg.locals) return None
-      val rows = raw.where(col("node") =!= -1 && col("method") === method)
+      val rows = counters.where(col("node") =!= -1 && col("method") === method && col("proc") < c)
       Some(
-        if (method != ReptName)
-          rows.where(col("unit") < c)
-            .groupBy("trial", "node").agg((sum("x") / c) as "estimate")
-        else reptLocalEstimates(rows, cfg.m, c))
-    }
-  }
-
-  object Result {
-    private final case class Key(method: String, trial: Int, unit: Int, slot: Int)
-  }
-
-  /** REPT global estimate for processor count c from per-(group, slot)
-    * counters (lookup: (group, slot) → (τ, η)).
-    */
-  def reptGlobal(m: Int, c: Int, cnt: ((Int, Int)) => (Double, Double)): Double = {
-    val lay = ReptEstimator.Layout(m, c)
-    val c1 = lay.c1; val c2 = lay.c2
-    if (lay.cLeM) m.toDouble * m / c * (0 until c).map(s => cnt((0, s))._1).sum
-    else {
-      val fullSum = (for (g <- 0 until c1; s <- 0 until m) yield cnt((g, s))._1).sum
-      if (c2 == 0) m.toDouble / c1 * fullSum
-      else {
-        val lastSum = (0 until c2).map(s => cnt((c1, s))._1).sum
-        val etaSum = (for (g <- 0 until c1; s <- 0 until m) yield cnt((g, s))._2).sum +
-          (0 until c2).map(s => cnt((c1, s))._2).sum
-        ReptEstimator.combineCgtM(m, c1, c2,
-          m.toDouble / c1 * fullSum,
-          m.toDouble * m / c2 * lastSum,
-          math.pow(m.toDouble, 3) / c * etaSum)
-      }
-    }
-  }
-
-  /** REPT per-(trial, node) estimates for processor count c from per-slot
-    * local counter rows — pure Catalyst.
-    */
-  def reptLocalEstimates(reptRows: DataFrame, m: Int, c: Int): DataFrame = {
-    val lay = ReptEstimator.Layout(m, c)
-    val c1 = lay.c1; val c2 = lay.c2
-    if (lay.cLeM)
-      reptRows.where(col("unit") === 0 && col("slot") < c)
-        .groupBy("trial", "node").agg(sum("x") as "s")
-        .select(col("trial"), col("node"), (lit(m.toDouble * m / c) * col("s")) as "estimate")
-    else if (c2 == 0)
-      reptRows.where(col("unit") < c1)
-        .groupBy("trial", "node").agg(sum("x") as "s")
-        .select(col("trial"), col("node"), (lit(m.toDouble / c1) * col("s")) as "estimate")
-    else {
-      val active = col("unit") < c1 || (col("unit") === c1 && col("slot") < c2)
-      val agg = reptRows.where(active).groupBy("trial", "node").agg(
-        sum(when(col("unit") < c1, col("x")).otherwise(0.0)) as "rs1",
-        sum(when(col("unit") === c1, col("x")).otherwise(0.0)) as "rs2",
-        sum(col("eta")) as "rse",
-      )
-      val withT = agg.select(col("trial"), col("node"),
-        (lit(m.toDouble / c1) * col("rs1")) as "t1",
-        (lit(m.toDouble * m / c2) * col("rs2")) as "t2",
-        (lit(math.pow(m.toDouble, 3) / c) * col("rse")) as "eh")
-      val w1 = col("t1") * (m - 1) / c1
-      val w2 = (col("t1") * (m.toDouble * m - c2) + lit(2.0) * col("eh") * (m - c2)) / c2
-      withT.select(col("trial"), col("node"),
-        when(w1 + w2 <= 0, (col("t1") + col("t2")) / 2.0)
-          .otherwise((w2 * col("t1") + w1 * col("t2")) / (w1 + w2)) as "estimate")
+        if (method == ReptName)
+          ReptEstimator.estimateLocals(ReptEstimator.Layout(cfg.m, c), rows, Seq("trial"))
+        else rows.groupBy("trial", "node").agg((sum("x") / c) as "estimate"))
     }
   }
 
@@ -161,59 +105,56 @@ object TrialHarness {
 
   /** Launch the sweep. Call `result.raw.unpersist()` when done. */
   def run(spark: SparkSession, stream: Array[Long], cfg: Config): Result = {
+    val tasks: Seq[Task] = for {
+      method <- cfg.methods
+      trial <- 0 until cfg.trials
+      proc <- 0 until cfg.maxC
+    } yield Task(method, trial, proc, trialSeed(cfg.seed, method, trial))
+    Result(cfg, fanOut(spark, stream, tasks, cfg.m, cfg.needsEta, cfg.locals))
+  }
+
+  /** Run every task as its own Spark partition over the broadcast stream and
+    * return their counter rows as a cached, materialised DataFrame. REPT
+    * processors track η when `needsEta`; local rows are emitted when `locals`.
+    */
+  def fanOut(spark: SparkSession, stream: Array[Long], tasks: Seq[Task], m: Int,
+             needsEta: Boolean, locals: Boolean): DataFrame = {
     import spark.implicits._
-    val tasks: Seq[Task] = cfg.methods.flatMap { method =>
-      (0 until cfg.trials).flatMap { trial =>
-        val ts = trialSeed(cfg.seed, method, trial)
-        if (method == ReptName)
-          (0 until cfg.reptGroups).map(g => Task(method, trial, g, cfg.m, Rept.groupSeed(ts, g)))
-        else
-          (0 until cfg.maxC).map(i => Task(method, trial, i, 0, ParallelBaseline.procSeed(ts, i)))
-      }
-    }
     val bc = spark.sparkContext.broadcast(stream)
-    val m = cfg.m
-    val locals = cfg.locals
-    val needsEta = cfg.needsEta
-    val nEdges = stream.length
-    val rows = spark.createDataset(tasks)
-      .repartition(math.min(tasks.size, 256))
-      .mapPartitions { it => it.flatMap(t => runTask(t, bc.value, m, needsEta, locals, nEdges)) }
+    val rows = spark.sparkContext.parallelize(tasks, tasks.size)
+      .mapPartitions(_.flatMap(t => runTask(t, bc.value, m, needsEta, locals)))
       .toDF()
       .cache()
     rows.count() // materialise before callers branch off it
-    Result(cfg, rows)
+    rows
   }
 
-  /** Execute one work unit. */
-  def runTask(t: Task, stream: Array[Long], m: Int, needsEta: Boolean, locals: Boolean,
-              nEdges: Int): Iterator[CounterRow] = t.method match {
+  /** Execute one task. */
+  def runTask(t: Task, stream: Array[Long], m: Int, needsEta: Boolean,
+              locals: Boolean): Iterator[CounterRow] = t.method match {
     case ReptName =>
-      val sim = new ReptGroupSim(m, t.slots, t.seed, needsEta, locals).processStream(stream)
-      val g = (0 until t.slots).iterator.map(s =>
-        CounterRow(t.method, t.trial, t.unit, s, -1, sim.tau(s).toDouble, sim.eta(s).toDouble))
-      val l = if (!locals) Iterator.empty else sim.localRows.flatMap { case (node, tArr, eArr) =>
-        tArr.indices.iterator
-          .filter(s => tArr(s) != 0L || eArr(s) != 0L)
-          .map(s => CounterRow(t.method, t.trial, t.unit, s, node, tArr(s).toDouble, eArr(s).toDouble))
-      }
-      g ++ l
+      val p = Rept.processor(m, t.proc, t.seed, needsEta).processStream(stream)
+      val l = if (!locals) Iterator.empty else p.localCounters(t.proc).map(r =>
+        CounterRow(t.method, t.trial, t.proc, r.node, r.tau, r.eta, 0.0))
+      Iterator.single(CounterRow(t.method, t.trial, t.proc, -1, p.tau, p.eta, 0.0)) ++ l
     case MascotName =>
-      val e = new MascotProcessor(1.0 / m, t.seed).processStream(stream)
+      val e = new MascotProcessor(1.0 / m, procSeed(t)).processStream(stream)
       emitBaseline(t, e.tauHat, if (locals) e.tauVHat else Map.empty[Int, Double])
     case TriestName =>
-      val budget = math.max(2, math.round(nEdges.toDouble / m).toInt)
-      val e = new TriestImprProcessor(budget, t.seed).processStream(stream)
+      val budget = math.max(2, math.round(stream.length.toDouble / m).toInt)
+      val e = new TriestImprProcessor(budget, procSeed(t)).processStream(stream)
       emitBaseline(t, e.tauHat, if (locals) e.tauVHat else Map.empty[Int, Double])
     case GpsName =>
-      val budget = math.max(1, math.round(nEdges.toDouble / (2.0 * m)).toInt)
-      val e = new GpsInStreamProcessor(budget, t.seed).processStream(stream)
+      val budget = math.max(1, math.round(stream.length.toDouble / (2.0 * m)).toInt)
+      val e = new GpsInStreamProcessor(budget, procSeed(t)).processStream(stream)
       emitBaseline(t, e.tauHat, if (locals) e.tauVHat else Map.empty[Int, Double])
     case other => throw new IllegalArgumentException(s"unknown method $other")
   }
 
+  private def procSeed(t: Task): Long = ParallelBaseline.procSeed(t.seed, t.proc)
+
   private def emitBaseline(t: Task, tauHat: Double,
                            tauVHat: collection.Map[Int, Double]): Iterator[CounterRow] =
-    Iterator.single(CounterRow(t.method, t.trial, t.unit, 0, -1, tauHat, 0.0)) ++
-      tauVHat.iterator.map { case (v, x) => CounterRow(t.method, t.trial, t.unit, 0, v, x, 0.0) }
+    Iterator.single(CounterRow(t.method, t.trial, t.proc, -1, 0L, 0L, tauHat)) ++
+      tauVHat.iterator.map { case (v, x) => CounterRow(t.method, t.trial, t.proc, v, 0L, 0L, x) }
 }

@@ -5,8 +5,6 @@ import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
 import repro.core.{EdgeStream, Rept, ReptEstimator, ReptProcessor}
 
-import scala.collection.mutable
-
 /** REPT as a genuine one-pass Structured Streaming job.
   *
   * The edge stream arrives in micro-batches; each edge is replicated to all c
@@ -58,13 +56,9 @@ object ReptStreaming {
       .flatMapGroupsWithState[ProcHolder, Snapshot](
         OutputMode.Update(), GroupStateTimeout.NoTimeout()) {
         (proc: Int, edges: Iterator[ProcEdge], state: GroupState[ProcHolder]) =>
-          val holder = if (state.exists) state.get else {
-            // Processor proc sits in group proc/m at slot proc%m when c > m;
-            // for c ≤ m there is a single group 0.
-            val (group, slot) = if (lay.cLeM) (0, proc) else (proc / m, proc % m)
-            ProcHolder(
-              new ReptProcessor(m, slot, Rept.groupSeed(seed, group), lay.needsEta), 0L)
-          }
+          val holder =
+            if (state.exists) state.get
+            else ProcHolder(Rept.processor(m, proc, seed, lay.needsEta), 0L)
           // Micro-batch rows carry the global stream position t; replay in order.
           val batch = edges.toArray.sortBy(_.t)
           batch.foreach { e => holder.engine.processEdge(e.u, e.v); holder.seen += 1 }
@@ -90,36 +84,22 @@ object ReptStreaming {
 
     val all = spark.table(queryName).as[Snapshot].collect()
     val finalSnaps = all.groupBy(_.proc).map { case (_, snaps) => snaps.maxBy(_.edgesSeen) }
-    combine(lay, finalSnaps.toSeq.sortBy(_.proc), all.length)
+    // Every micro-batch reaches every processor, so each emits one snapshot per batch.
+    combine(lay, finalSnaps.toSeq.sortBy(_.proc), all.count(_.proc == 0))
   }
 
   /** Combine final per-processor snapshots into the paper's estimates. */
-  def combine(lay: ReptEstimator.Layout, snaps: Seq[Snapshot], totalSnaps: Int): StreamingResult = {
-    import lay._
-    require(snaps.map(_.proc) == (0 until c), s"missing processors: got ${snaps.map(_.proc)}")
+  def combine(lay: ReptEstimator.Layout, snaps: Seq[Snapshot], snapshotsPerProc: Int): StreamingResult = {
+    require(snaps.map(_.proc) == (0 until lay.c), s"missing processors: got ${snaps.map(_.proc)}")
     val perProcTau = snaps.map(_.tau).toArray
     val perProcEta = snaps.map(_.eta).toArray
-    val tauHat = ReptEstimator.estimateGlobal(m, c, perProcTau.toIndexedSeq,
-      if (needsEta) perProcEta.toIndexedSeq else Nil)
-    val s1 = mutable.LongMap.empty[Long].withDefaultValue(0L)
-    val s2 = mutable.LongMap.empty[Long].withDefaultValue(0L)
-    val se = mutable.LongMap.empty[Long].withDefaultValue(0L)
-    for (snap <- snaps) {
-      val full = !cLeM && snap.proc < c1 * m
-      for ((v, x) <- snap.tauV) { if (full) s1(v.toLong) += x else s2(v.toLong) += x }
-      if (needsEta) for ((v, x) <- snap.etaV) se(v.toLong) += x
-    }
-    val nodes = (s1.keysIterator ++ s2.keysIterator).toSet
-    val locals = nodes.iterator.map { k =>
-      val est =
-        if (cLeM) ReptEstimator.estimateCleM(m, c, s2(k))
-        else if (c2 == 0) ReptEstimator.estimateFullGroups(m, c1, s1(k))
-        else ReptEstimator.combineCgtM(m, c1, c2,
-          ReptEstimator.estimateFullGroups(m, c1, s1(k)),
-          ReptEstimator.estimateCleM(m, c2, s2(k)),
-          ReptEstimator.estimateEta(m, c, se(k)))
-      (k.toInt, est)
-    }.toMap
-    StreamingResult(tauHat, locals, perProcTau, perProcEta, totalSnaps)
+    val tauHat = ReptEstimator.estimateGlobal(lay.m, lay.c, perProcTau.toIndexedSeq,
+      perProcEta.toIndexedSeq)
+    val locals = ReptEstimator.estimateLocals(lay, snaps.iterator.flatMap { s =>
+      s.tauV.iterator.map { case (v, t) =>
+        ReptEstimator.LocalCounters(s.proc, v, t, s.etaV.getOrElse(v, 0L))
+      }
+    })
+    StreamingResult(tauHat, locals, perProcTau, perProcEta, snapshotsPerProc)
   }
 }

@@ -65,6 +65,21 @@ class ReptSequentialSpec extends AnyFunSuite {
     }
   }
 
+  test("Rept.run equals independent processors; processor p does not depend on c") {
+    val m = 4; val seed = 37L
+    val cs = Seq(3, 4, 8, 10) // c < m, c = m, c = 2m, c > m with a leftover group
+    val runs = cs.map(c => c -> Rept.run(stream, m, c, seed, locals = false)).toMap
+    for (c <- cs; p <- 0 until c) {
+      val proc = Rept.processor(m, p, seed, ReptEstimator.Layout(m, c).needsEta)
+        .processStream(stream)
+      assert(runs(c).perProcTau(p) == proc.tau, s"tau c=$c p=$p")
+      assert(runs(c).perProcEta(p) == proc.eta, s"eta c=$c p=$p")
+    }
+    // The sweep's prefix reuse: the widest layout's processors serve every c.
+    for (c <- cs.init)
+      assert(runs(c).perProcTau.toSeq == runs(cs.last).perProcTau.take(c).toSeq, s"c=$c")
+  }
+
   test("groupSeed decorrelates groups and is deterministic") {
     assert(Rept.groupSeed(5, 0) == Rept.groupSeed(5, 0))
     assert(Rept.groupSeed(5, 0) != Rept.groupSeed(5, 1))

@@ -15,9 +15,9 @@ class TrialHarnessSpec extends SparkSpec {
 
   test("config derives the sweep shape") {
     val cfg = Config(5, Seq(2, 5, 12), 3, 1, Seq(ReptName), locals = false)
-    assert(cfg.maxC == 12 && cfg.reptGroups == 3 && cfg.needsEta) // 12 = 2*5+2
+    assert(cfg.maxC == 12 && cfg.needsEta) // 12 = 2*5+2
     val cfg2 = Config(5, Seq(5, 10), 3, 1, Seq(ReptName), locals = false)
-    assert(!cfg2.needsEta && cfg2.reptGroups == 2)
+    assert(!cfg2.needsEta)
     intercept[IllegalArgumentException] { Config(5, Nil, 1, 1, Seq(ReptName), locals = false) }
   }
 

@@ -44,8 +44,10 @@ class ReptStreamingSpec extends SparkSpec {
   }
 
   test("state persists across many tiny batches") {
-    val r = ReptStreaming.run(spark, stream, 1, 1, 3, batchSize = 13)
-    assert(r.tauHat == Ref.tau(edges).toDouble)
-    assert(r.snapshotsPerProc == math.ceil(stream.length / 13.0).toInt)
+    for ((m, c) <- Seq((1, 1), (1, 2))) { // m = 1 is exact for any c
+      val r = ReptStreaming.run(spark, stream, m, c, 3, batchSize = 13)
+      assert(r.tauHat == Ref.tau(edges).toDouble, s"m=$m c=$c")
+      assert(r.snapshotsPerProc == math.ceil(stream.length / 13.0).toInt, s"m=$m c=$c")
+    }
   }
 }
